@@ -11,6 +11,11 @@
      executor driving the rank bodies; both runs are compared against the
      interpreted serial oracle and against each other.
 
+   Serial rows also record the compiled run's minor-heap allocation per
+   point-update ([alloc_words_per_update]).  It is machine-independent;
+   the regression gate holds it under a fixed ceiling, since the
+   slot-direct kernels allocate nothing per point.
+
    Results are also written to BENCH_exec.json.  The compiled executor is
    the default for stencilc --run-par/--run-sim; this section is the
    regression guard for the speedup that justifies that default. *)
@@ -25,6 +30,7 @@ type row = {
   host_cores : int;
   oversubscribed : bool;  (* ranks > host_cores: timing ratios are noise *)
   max_abs_diff : float;  (* compiled vs interpreted results *)
+  alloc_words_per_update : float option;  (* compiled serial runs only *)
 }
 
 (* Fresh identically-initialized zero-based arguments for the lowered
@@ -64,7 +70,14 @@ let measure ~reps runf args_of =
   done;
   (!best, !obs)
 
-let run_serial ~reps (name, m) : row =
+(* Minor-heap words one run allocates per point-update, on this domain
+   (serial runs execute entirely on the calling domain). *)
+let alloc_per_update ~updates runf args =
+  let w0 = Gc.minor_words () in
+  ignore (runf args);
+  (Gc.minor_words () -. w0) /. updates
+
+let run_serial ~reps (name, m, updates) : row =
   let func = Driver.Harness.default_func m in
   let specs = Driver.Harness.field_args m func in
   let lowered = Core.Pipeline.compile ~verify: false Core.Pipeline.Cpu_sequential m in
@@ -77,6 +90,9 @@ let run_serial ~reps (name, m) : row =
   let compiled_s, compiled_obs =
     measure ~reps compiled_run (fun () -> make_args specs)
   in
+  let alloc =
+    alloc_per_update ~updates compiled_run (make_args specs)
+  in
   {
     workload = name;
     mode = "serial";
@@ -87,6 +103,7 @@ let run_serial ~reps (name, m) : row =
     host_cores = Bench_par.host_cores ();
     oversubscribed = false;
     max_abs_diff = max_diff_all interp_obs compiled_obs;
+    alloc_words_per_update = Some alloc;
   }
 
 (* Best-of-[reps] distributed run: wall times of domain runs on a shared
@@ -101,7 +118,7 @@ let best_distributed ~reps run =
   done;
   !best
 
-let run_par ~reps ~ranks ~overlap (name, m) : row =
+let run_par ~reps ~ranks ~overlap (name, m, _) : row =
   let interp =
     best_distributed ~reps (fun () ->
         Driver.Harness.run_distributed ~substrate: Driver.Harness.Par ~ranks
@@ -128,6 +145,7 @@ let run_par ~reps ~ranks ~overlap (name, m) : row =
         (Driver.Harness.max_result_diff interp compiled)
         (Float.max interp.Driver.Harness.max_diff_vs_serial
            compiled.Driver.Harness.max_diff_vs_serial);
+    alloc_words_per_update = None;
   }
 
 let write_json (rows : row list) =
@@ -139,13 +157,17 @@ let write_json (rows : row list) =
       Printf.fprintf oc
         "    {\"workload\": %S, \"mode\": %S, \"overlap\": %s, \"interp_s\": \
          %.6f, \"compiled_s\": %.6f, \"speedup\": %.3f, \"host_cores\": %d, \
-         \"oversubscribed\": %b, \"max_abs_diff\": %.17g}%s\n"
+         \"oversubscribed\": %b, \"max_abs_diff\": %.17g, \
+         \"alloc_words_per_update\": %s}%s\n"
         r.workload r.mode
         (match r.overlap with
         | Some b -> string_of_bool b
         | None -> "null")
         r.interp_s r.compiled_s r.speedup r.host_cores r.oversubscribed
         r.max_abs_diff
+        (match r.alloc_words_per_update with
+        | Some w -> Printf.sprintf "%.4f" w
+        | None -> "null")
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
@@ -154,35 +176,33 @@ let write_json (rows : row list) =
 
 let run ?(smoke = false) () =
   Printf.printf "== Measured executor comparison (interp vs compiled) ==\n";
-  let grid2 n = [ n; n ] in
-  let workloads =
-    if smoke then
-      [
-        ( "heat2d-so2",
-          (Workloads.heat ~grid: (grid2 64) ~timesteps: 8 ~dims: 2 ~so: 2 ())
-            .Workloads.module_ );
-      ]
-    else
-      [
-        ( "heat2d-so2",
-          (Workloads.heat ~grid: (grid2 96) ~timesteps: 8 ~dims: 2 ~so: 2 ())
-            .Workloads.module_ );
-        ( "wave2d-so4",
-          (Workloads.wave ~grid: (grid2 96) ~timesteps: 8 ~dims: 2 ~so: 4 ())
-            .Workloads.module_ );
-      ]
+  let timesteps = 8 in
+  (* (name, module, point-updates per run) *)
+  let devito name
+      (make :
+        ?grid: int list -> ?timesteps: int -> dims: int -> unit ->
+        Workloads.devito_workload) n =
+    ( name,
+      (make ~grid: [ n; n ] ~timesteps ~dims: 2 ()).Workloads.module_,
+      float_of_int (n * n * timesteps) )
   in
+  let heat = devito "heat2d-so2" (Workloads.heat ~so: 2)
+  and wave = devito "wave2d-so4" (Workloads.wave ~so: 4) in
+  let workloads = if smoke then [ heat 64 ] else [ heat 96; wave 96 ] in
   let reps = if smoke then 1 else 3 in
-  Printf.printf "   %-12s %7s %10s %12s %8s %10s\n" "workload" "mode"
-    "interp_s" "compiled_s" "speedup" "diff";
+  Printf.printf "   %-12s %7s %10s %12s %8s %10s %12s\n" "workload" "mode"
+    "interp_s" "compiled_s" "speedup" "diff" "words/update";
   let rows =
     List.concat_map
       (fun w ->
         List.map
           (fun r ->
-            Printf.printf "   %-12s %7s %10.4f %12.4f %7.1fx %10.2e%s\n%!"
+            Printf.printf "   %-12s %7s %10.4f %12.4f %7.1fx %10.2e %12s%s\n%!"
               r.workload r.mode r.interp_s r.compiled_s r.speedup
               r.max_abs_diff
+              (match r.alloc_words_per_update with
+              | Some w -> Printf.sprintf "%.3f" w
+              | None -> "-")
               (if r.max_abs_diff <> 0. then "  MISMATCH" else "");
             r)
           [

@@ -19,7 +19,10 @@
      - exec rows: the compiled-vs-interpreter speedup may not drop by
        more than [tolerance] (skipped when either run was oversubscribed
        — domains time-sliced on too few cores are scheduler noise), and
-       max_abs_diff must stay 0;
+       max_abs_diff must stay 0; every current serial row must report
+       alloc_words_per_update (minor-heap words per point-update of the
+       compiled run, a count, not a time) at or under an absolute 1.0 —
+       the slot-direct kernels allocate nothing per point;
      - compile rows: the artifact cache's warm_speedup (cold compile /
        warm hit) may not drop by more than [tolerance] and must stay
        above an absolute 10x floor; cache counters must reconcile.
@@ -402,9 +405,25 @@ let compare_par out ~tolerance ~baseline ~current =
               (timing_noise_floor_s *. 1e3))
     cur_mx
 
+let alloc_words_ceiling = 1.0
+
 let compare_exec out ~tolerance ~baseline ~current =
   let base_rows = entries_by_key ~key: exec_key baseline in
   let cur_rows = entries_by_key ~key: exec_key current in
+  List.iter
+    (fun (key, c) ->
+      if jstr (member "mode" c) = Some "serial" then begin
+        out.checked <- out.checked + 1;
+        match jnum (member "alloc_words_per_update" c) with
+        | None -> fail_row out "%s: alloc_words_per_update missing" key
+        | Some w when w > alloc_words_ceiling ->
+            fail_row out
+              "%s: compiled run allocates %.3f words per point-update (ceiling \
+               %.1f)"
+              key w alloc_words_ceiling
+        | Some _ -> ()
+      end)
+    cur_rows;
   List.iter
     (fun (key, b) ->
       match List.assoc_opt key cur_rows with

@@ -8,24 +8,52 @@ let rank_coords ~grid rank =
   let strides = Core.Dmp_to_mpi.grid_strides grid in
   List.map2 (fun g s -> rank / s mod g) grid strides
 
-(* Iterate over all logical coordinates of a buffer. *)
-let iter_coords (b : Interp.Rtval.buffer) f =
-  let rec nest shape lo coords =
-    match (shape, lo) with
-    | [], [] -> f (List.rev coords)
-    | s :: shape', l :: lo' ->
-        for i = l to l + s - 1 do
-          nest shape' lo' (i :: coords)
-        done
-    | _ -> invalid_arg "iter_coords"
+module R = Interp.Rtval
+
+(* Copy the box of [src]'s logical coordinates [start, start + size) to
+   [dst] at [start + shift]: the box is bounds-checked once on both sides
+   (out of range raises [Runtime_error], before anything is written), then
+   copied with one [Array.blit] per innermost row. *)
+let copy_box ~(src : R.buffer) ~(dst : R.buffer) ~start ~size ~shift =
+  let rank = Array.length size in
+  let dims (b : R.buffer) what =
+    let shape = Array.of_list b.R.shape and lo = Array.of_list b.R.lo in
+    if Array.length shape <> rank || Array.length lo <> rank then
+      R.error "%s: rank %d buffer for a rank %d box" what (Array.length shape)
+        rank;
+    (shape, lo)
   in
-  nest b.Interp.Rtval.shape b.Interp.Rtval.lo []
+  let sshape, slo = dims src "gather/scatter source" in
+  let dshape, dlo = dims dst "gather/scatter destination" in
+  if Array.for_all (fun n -> n > 0) size then begin
+    let offset shape lo (c : int array) name =
+      let st =
+        Array.of_list (Core.Dmp_to_mpi.grid_strides (Array.to_list shape))
+      in
+      let off = ref 0 in
+      for d = 0 to rank - 1 do
+        let i = c.(d) - lo.(d) in
+        if i < 0 || i + size.(d) > shape.(d) then
+          R.error
+            "%s box [%d, %d) out of bounds [%d, %d) in dimension %d" name
+            c.(d) (c.(d) + size.(d)) lo.(d) (lo.(d) + shape.(d)) d;
+        off := !off + (i * st.(d))
+      done;
+      (!off, st)
+    in
+    let src_off, src_strides = offset sshape slo start "source" in
+    let dst_off, dst_strides =
+      offset dshape dlo (Array.map2 ( + ) start shift) "destination"
+    in
+    R.blit_strided ~src ~dst ~sizes: size ~src_off ~src_strides ~dst_off
+      ~dst_strides
+  end
 
 (* Allocate the local buffer for [rank] of a field with [local_bounds],
    filling every point (interior and halo) from the global buffer where the
    corresponding global coordinate exists, and 0 elsewhere. *)
-let scatter_field ~(global : Interp.Rtval.buffer) ~grid
-    ~(local_bounds : Typesys.bound list) ~rank : Interp.Rtval.buffer =
+let scatter_field ~(global : R.buffer) ~grid
+    ~(local_bounds : Typesys.bound list) ~rank : R.buffer =
   let coords = rank_coords ~grid rank in
   (* Ghost margins are symmetric ([lo, hi) = [-m, n_loc + m)), so the local
      interior extent per dimension is hi + lo. *)
@@ -36,48 +64,40 @@ let scatter_field ~(global : Interp.Rtval.buffer) ~grid
   in
   let shape = List.map Typesys.bound_size local_bounds in
   let lo = List.map (fun (b : Typesys.bound) -> b.Typesys.lo) local_bounds in
-  let local =
-    Interp.Rtval.alloc_buffer ~lo shape global.Interp.Rtval.elt
+  let local = R.alloc_buffer ~lo shape global.R.elt in
+  let offset = Array.of_list (List.map2 (fun c n -> c * n) coords interior) in
+  (* The part of the local box whose global coordinates exist, in global
+     coordinates: the local box shifted by the rank's offset, clipped to
+     the global one. *)
+  let clip l s gl gs o = (max (l + o) gl, min (l + o + s) (gl + gs)) in
+  let ranges =
+    Array.of_list
+      (List.mapi
+         (fun d ((l, s), (gl, gs)) -> clip l s gl gs offset.(d))
+         (List.combine
+            (List.combine lo shape)
+            (List.combine global.R.lo global.R.shape)))
   in
-  let offset = List.map2 (fun c n -> c * n) coords interior in
-  iter_coords local (fun local_coords ->
-      let global_coords = List.map2 ( + ) local_coords offset in
-      let in_bounds =
-        List.for_all2
-          (fun gc (s, l) -> gc >= l && gc < l + s)
-          global_coords
-          (List.combine global.Interp.Rtval.shape global.Interp.Rtval.lo)
-      in
-      if in_bounds then
-        Interp.Rtval.set local local_coords
-          (Interp.Rtval.get global global_coords));
+  copy_box ~src: global ~dst: local
+    ~start: (Array.map fst ranges)
+    ~size: (Array.map (fun (a, b) -> b - a) ranges)
+    ~shift: (Array.map ( ~- ) offset);
   local
 
 (* Copy the interior [0, interior) of [local] into the global buffer at this
    rank's offset.  [origin] shifts local coordinates for buffers whose
    logical origin was rebased to zero after lowering (pass the halo width
    per dimension). *)
-let gather_interior ?origin ~(global : Interp.Rtval.buffer)
-    ~(local : Interp.Rtval.buffer) ~grid ~(interior : int list) ~rank () :
-    unit =
+let gather_interior ?origin ~(global : R.buffer) ~(local : R.buffer) ~grid
+    ~(interior : int list) ~rank () : unit =
   let coords = rank_coords ~grid rank in
   let offset = List.map2 (fun c n -> c * n) coords interior in
   let origin =
     match origin with Some o -> o | None -> List.map (fun _ -> 0) interior
   in
-  let rec nest dims coords =
-    match dims with
-    | [] ->
-        let local_coords = List.rev coords in
-        let global_coords = List.map2 ( + ) local_coords offset in
-        Interp.Rtval.set global global_coords
-          (Interp.Rtval.get local (List.map2 ( + ) local_coords origin))
-    | n :: rest ->
-        for i = 0 to n - 1 do
-          nest rest (i :: coords)
-        done
-  in
-  nest interior []
+  copy_box ~src: local ~dst: global ~start: (Array.of_list origin)
+    ~size: (Array.of_list interior)
+    ~shift: (Array.of_list (List.map2 ( - ) offset origin))
 
 (* Local bounds of a distributed function's field arguments, read straight
    off the (already localized) types. *)

@@ -6,8 +6,6 @@ open Ir
 val rank_coords : grid:int list -> int -> int list
 (** Cartesian coordinates of a rank in a row-major grid. *)
 
-val iter_coords : Interp.Rtval.buffer -> (int list -> unit) -> unit
-
 val scatter_field :
   global:Interp.Rtval.buffer ->
   grid:int list ->
@@ -29,7 +27,9 @@ val gather_interior :
   unit
 (** Copy the local interior into the global buffer at the rank's offset;
     [origin] shifts local coordinates for buffers rebased to zero after
-    lowering. *)
+    lowering.  Raises [Interp.Rtval.Runtime_error], writing nothing, when
+    the interior box leaves either buffer.  Both scatter and gather copy
+    one [Array.blit] per innermost row. *)
 
 val field_arg_bounds : Op.t -> Typesys.bound list list
 (** Bounds of a function's stencil-typed arguments. *)

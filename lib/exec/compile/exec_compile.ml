@@ -11,14 +11,22 @@
    - every SSA value is resolved at compile time to a fixed integer slot in
      a flat frame; scalars are stored unboxed (an [int array] for
      int/index-typed values, a [float array] for float-typed values, an
-     [Interp.Rtval.t array] for buffers and the rest), so the hot
-     memref load/compute/store chains never allocate;
+     [Interp.Rtval.t array] for buffers and the rest);
    - each op and region is compiled exactly once into a [frame -> unit]
      closure; loops re-run the closure, not the compiler;
-   - external calls (the MPI_* symbols a fully lowered module contains) are
-     pre-bound at compile time: the dispatch op handed to the externs
-     handler is built once per call site, and arguments are boxed only at
-     this boundary.
+   - the slot kind picks the closure at compile time: arith ops, memref
+     loads and stores read and write the frame arrays directly with
+     primitive operators, so the per-point load/compute/store chains
+     allocate nothing (without flambda, a float that passes through an
+     unknown closure is boxed; BENCH_exec.json records the words
+     allocated per point-update, and [bench regress] holds them under
+     1.0).  An operand of the other kind (an int slot feeding a float op)
+     is converted into a scratch slot first;
+   - boxing is confined to the slow boundaries: extern calls (the MPI_*
+     symbols a fully lowered module contains, pre-bound at compile time —
+     the dispatch op handed to the externs handler is built once per call
+     site), internal [func.call]s, loop-carried [scf.for] values and
+     block results.
 
    Supported input is everything [Driver.Runtime_link] feeds the
    interpreter after full lowering — func/scf/arith/memref plus
@@ -121,25 +129,35 @@ type fctx = {
   mutable omp_nt : int option;
 }
 
+(* A fresh slot of kind [k]: an SSA value's home, or a scratch slot. *)
+let fresh_slot (f : fctx) (k : kind) : int =
+  match k with
+  | Kint ->
+      f.n_int <- f.n_int + 1;
+      f.n_int - 1
+  | Kflt ->
+      f.n_flt <- f.n_flt + 1;
+      f.n_flt - 1
+  | Kobj ->
+      f.n_obj <- f.n_obj + 1;
+      f.n_obj - 1
+
 let def (f : fctx) (v : Value.t) : slot =
   let k = kind_of_ty (Value.ty v) in
-  let s =
-    match k with
-    | Kint ->
-        let s = f.n_int in
-        f.n_int <- s + 1;
-        (Kint, s)
-    | Kflt ->
-        let s = f.n_flt in
-        f.n_flt <- s + 1;
-        (Kflt, s)
-    | Kobj ->
-        let s = f.n_obj in
-        f.n_obj <- s + 1;
-        (Kobj, s)
-  in
+  let s = (k, fresh_slot f k) in
   Hashtbl.replace f.slots (Value.id v) s;
   s
+
+(* [def] for a result whose kind the op fixes: the slot-direct closures
+   write straight into that frame array, so a mistyped result must be
+   rejected here rather than land in the wrong array. *)
+let def_kind (f : fctx) (k : kind) (v : Value.t) : int =
+  match def f v with
+  | k', i when k' = k -> i
+  | _ ->
+      unsupported "compile: result %%%d has type %s, unexpected for its op"
+        (Value.id v)
+        (Typesys.ty_to_string (Value.ty v))
 
 let slot_exn (f : fctx) (v : Value.t) : slot =
   match Hashtbl.find_opt f.slots (Value.id v) with
@@ -150,17 +168,13 @@ let slot_exn (f : fctx) (v : Value.t) : slot =
 
 (* ---------- slot accessors (compiled once per operand) ---------- *)
 
+(* Readers for loop bounds and branch conditions, evaluated once per loop
+   entry or branch, not per point. *)
 let get_int f v : frame -> int =
   match slot_exn f v with
   | Kint, i -> fun fr -> Array.unsafe_get fr.ints i
   | Kflt, _ -> fun _ -> R.error "expected integer value, got float"
   | Kobj, i -> fun fr -> R.as_int fr.objs.(i)
-
-let get_flt f v : frame -> float =
-  match slot_exn f v with
-  | Kflt, i -> fun fr -> Array.unsafe_get fr.flts i
-  | Kint, i -> fun fr -> float_of_int (Array.unsafe_get fr.ints i)
-  | Kobj, i -> fun fr -> R.as_float fr.objs.(i)
 
 let get_buf f v : frame -> R.buffer =
   match slot_exn f v with
@@ -180,6 +194,100 @@ let write_slot ((k, i) : slot) : frame -> R.t -> unit =
   | Kint -> fun fr v -> fr.ints.(i) <- R.as_int v
   | Kflt -> fun fr v -> fr.flts.(i) <- R.as_float v
   | Kobj -> fun fr v -> fr.objs.(i) <- v
+
+(* ---------- slot-direct operands (the per-point path) ---------- *)
+
+(* Arithmetic, loads and stores compile to closures that read and write
+   the frame arrays directly, with the primitive operator chosen at
+   compile time from the slot kinds.  No per-point value passes through a
+   [frame -> float] reader: without flambda a float returned by an
+   unknown closure, or passed to one, is boxed — one allocation per
+   operand and per result.  An operand whose slot has another kind (an
+   int slot feeding a float op) is first converted into a scratch slot of
+   the right kind by a prelude statement; only that mixed-kind path pays
+   for the extra call.  Slot indices come from [def]/[fresh_slot], which
+   also size the frame, so the unchecked slot accesses are in range. *)
+
+let[@inline] fget fr i = Array.unsafe_get fr.flts i
+let[@inline] fset fr i (x : float) = Array.unsafe_set fr.flts i x
+let[@inline] iget fr i = Array.unsafe_get fr.ints i
+let[@inline] iset fr i (x : int) = Array.unsafe_set fr.ints i x
+
+let[@inline] buf fr i =
+  match Array.unsafe_get fr.objs i with
+  | R.Rbuf b -> b
+  | _ -> R.error "expected buffer value"
+
+(* The operands of one slot-direct op.  A mixed-kind operand is read
+   through a scratch slot, filled by a conversion statement collected in
+   [convs]; [emit] runs the conversions before the op. *)
+type operands = { of_f : fctx; mutable convs : (frame -> unit) list }
+
+let convert o k (conv : int -> frame -> unit) =
+  let t = fresh_slot o.of_f k in
+  o.convs <- conv t :: o.convs;
+  t
+
+(* The float slot holding [v]'s value. *)
+let fop o v : int =
+  match slot_exn o.of_f v with
+  | Kflt, i -> i
+  | Kint, i -> convert o Kflt (fun t fr -> fset fr t (float_of_int (iget fr i)))
+  | Kobj, i -> convert o Kflt (fun t fr -> fset fr t (R.as_float fr.objs.(i)))
+
+(* The int slot holding [v]'s value. *)
+let iop o v : int =
+  match slot_exn o.of_f v with
+  | Kint, i -> i
+  | Kflt, _ ->
+      convert o Kint (fun _ _ -> R.error "expected integer value, got float")
+  | Kobj, i -> convert o Kint (fun t fr -> iset fr t (R.as_int fr.objs.(i)))
+
+let emit o (k : frame -> unit) : (frame -> unit) option =
+  match Array.of_list (List.rev o.convs) with
+  | [||] -> Some k
+  | convs ->
+      Some
+        (fun fr ->
+          for j = 0 to Array.length convs - 1 do
+            convs.(j) fr
+          done;
+          k fr)
+
+let buf_slot f v : int =
+  match slot_exn f v with
+  | Kobj, i -> i
+  | _ -> unsupported "compile: %%%d is not a buffer" (Value.id v)
+
+let flt_binop name a b d : frame -> unit =
+  match name with
+  | "arith.addf" -> fun fr -> fset fr d (fget fr a +. fget fr b)
+  | "arith.subf" -> fun fr -> fset fr d (fget fr a -. fget fr b)
+  | "arith.mulf" -> fun fr -> fset fr d (fget fr a *. fget fr b)
+  | "arith.divf" -> fun fr -> fset fr d (fget fr a /. fget fr b)
+  | "arith.maximumf" -> fun fr -> fset fr d (Float.max (fget fr a) (fget fr b))
+  | "arith.minimumf" -> fun fr -> fset fr d (Float.min (fget fr a) (fget fr b))
+  | _ -> unsupported "unknown float binop %s" name
+
+let int_binop name a b d : frame -> unit =
+  match name with
+  | "arith.addi" -> fun fr -> iset fr d (iget fr a + iget fr b)
+  | "arith.subi" -> fun fr -> iset fr d (iget fr a - iget fr b)
+  | "arith.muli" -> fun fr -> iset fr d (iget fr a * iget fr b)
+  | "arith.divsi" ->
+      fun fr ->
+        let y = iget fr b in
+        if y = 0 then R.error "division by zero";
+        iset fr d (iget fr a / y)
+  | "arith.remsi" ->
+      fun fr ->
+        let y = iget fr b in
+        if y = 0 then R.error "remainder by zero";
+        iset fr d (iget fr a mod y)
+  | "arith.andi" -> fun fr -> iset fr d (iget fr a land iget fr b)
+  | "arith.ori" -> fun fr -> iset fr d (iget fr a lor iget fr b)
+  | "arith.xori" -> fun fr -> iset fr d (iget fr a lxor iget fr b)
+  | _ -> unsupported "unknown integer binop %s" name
 
 (* ---------- fast buffer indexing (specialized per rank) ---------- *)
 
@@ -217,16 +325,20 @@ let idx3 (b : R.buffer) c0 c1 c2 =
       ((((i0 * s1) + i1) * s2) + i2)
   | _ -> R.error "rank mismatch in buffer access"
 
-(* [frame -> buffer -> linear index] for a coordinate operand list. *)
-let index_fun (coords : (frame -> int) array) : frame -> R.buffer -> int =
-  match coords with
+(* [frame -> buffer -> linear index] for the int slots of a coordinate
+   operand list. *)
+let index_fun (cs : int array) : frame -> R.buffer -> int =
+  match cs with
   | [||] -> fun _ _ -> 0
-  | [| g0 |] -> fun fr b -> idx1 b (g0 fr)
-  | [| g0; g1 |] -> fun fr b -> idx2 b (g0 fr) (g1 fr)
-  | [| g0; g1; g2 |] -> fun fr b -> idx3 b (g0 fr) (g1 fr) (g2 fr)
-  | gs ->
-      fun fr b ->
-        R.linear_index b (Array.to_list (Array.map (fun g -> g fr) gs))
+  | [| c0 |] -> fun fr b -> idx1 b (iget fr c0)
+  | [| c0; c1 |] -> fun fr b -> idx2 b (iget fr c0) (iget fr c1)
+  | [| c0; c1; c2 |] ->
+      fun fr b -> idx3 b (iget fr c0) (iget fr c1) (iget fr c2)
+  | cs ->
+      fun fr b -> R.linear_index b (Array.to_list (Array.map (iget fr) cs))
+
+(* [frame -> buffer -> linear index] for the coordinate operands [vs]. *)
+let coords o vs = index_fun (Array.of_list (List.map (iop o) vs))
 
 (* ---------- helpers ---------- *)
 
@@ -294,20 +406,11 @@ let pred_fn (op : Op.t) : int -> bool =
 let rec compile_op (f : fctx) (op : Op.t) : (frame -> unit) option =
   let name = op.Op.name in
   let operand i = Op.operand_exn op i in
-  let int1 () = get_int f (operand 0) in
-  let flt_binop g =
-    let a = get_flt f (operand 0) and b = get_flt f (operand 1) in
-    let _, d = def f (Op.result_exn op) in
-    Some (fun fr -> fr.flts.(d) <- g (a fr) (b fr))
-  in
-  let int_binop g =
-    let a = get_int f (operand 0) and b = get_int f (operand 1) in
-    let _, d = def f (Op.result_exn op) in
-    Some (fun fr -> fr.ints.(d) <- g (a fr) (b fr))
-  in
+  let result () = Op.result_exn op in
+  let o = { of_f = f; convs = [] } in
   match name with
   | "arith.constant" -> (
-      let res = Op.result_exn op in
+      let res = result () in
       match (Op.attr_exn op "value", def f res) with
       | Typesys.Int_attr (v, _), (Kint, d) ->
           Some (fun fr -> fr.ints.(d) <- v)
@@ -317,129 +420,113 @@ let rec compile_op (f : fctx) (op : Op.t) : (frame -> unit) option =
           let fv = float_of_int v in
           Some (fun fr -> fr.flts.(d) <- fv)
       | _ -> unsupported "arith.constant: bad value attribute")
-  | "arith.addi" -> int_binop ( + )
-  | "arith.subi" -> int_binop ( - )
-  | "arith.muli" -> int_binop ( * )
-  | "arith.divsi" ->
-      int_binop (fun a b ->
-          if b = 0 then R.error "division by zero" else a / b)
-  | "arith.remsi" ->
-      int_binop (fun a b ->
-          if b = 0 then R.error "remainder by zero" else a mod b)
-  | "arith.andi" -> int_binop ( land )
-  | "arith.ori" -> int_binop ( lor )
-  | "arith.xori" -> int_binop ( lxor )
-  | "arith.addf" -> flt_binop ( +. )
-  | "arith.subf" -> flt_binop ( -. )
-  | "arith.mulf" -> flt_binop ( *. )
-  | "arith.divf" -> flt_binop ( /. )
-  | "arith.maximumf" -> flt_binop Float.max
-  | "arith.minimumf" -> flt_binop Float.min
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
+  | "arith.andi" | "arith.ori" | "arith.xori" ->
+      let a = iop o (operand 0) in
+      let b = iop o (operand 1) in
+      emit o (int_binop name a b (def_kind f Kint (result ())))
+  | "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf"
+  | "arith.maximumf" | "arith.minimumf" ->
+      let a = fop o (operand 0) in
+      let b = fop o (operand 1) in
+      emit o (flt_binop name a b (def_kind f Kflt (result ())))
   | "arith.negf" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- -.a fr)
+      let a = fop o (operand 0) in
+      let d = def_kind f Kflt (result ()) in
+      emit o (fun fr -> fset fr d (-.fget fr a))
   | "arith.cmpi" ->
       let p = pred_fn op in
-      let a = get_int f (operand 0) and b = get_int f (operand 1) in
-      let _, d = def f (Op.result_exn op) in
-      Some
-        (fun fr ->
-          fr.ints.(d) <- (if p (Int.compare (a fr) (b fr)) then 1 else 0))
+      let a = iop o (operand 0) in
+      let b = iop o (operand 1) in
+      let d = def_kind f Kint (result ()) in
+      emit o (fun fr ->
+          iset fr d (Bool.to_int (p (Int.compare (iget fr a) (iget fr b)))))
   | "arith.cmpf" ->
       let p = pred_fn op in
-      let a = get_flt f (operand 0) and b = get_flt f (operand 1) in
-      let _, d = def f (Op.result_exn op) in
-      Some
-        (fun fr ->
-          fr.ints.(d) <- (if p (Float.compare (a fr) (b fr)) then 1 else 0))
+      let a = fop o (operand 0) in
+      let b = fop o (operand 1) in
+      let d = def_kind f Kint (result ()) in
+      emit o (fun fr ->
+          iset fr d (Bool.to_int (p (Float.compare (fget fr a) (fget fr b)))))
   | "arith.select" -> (
-      let c = int1 () in
-      match def f (Op.result_exn op) with
+      let c = iop o (operand 0) in
+      match def f (result ()) with
       | Kint, d ->
-          let a = get_int f (operand 1) and b = get_int f (operand 2) in
-          Some (fun fr -> fr.ints.(d) <- (if c fr <> 0 then a fr else b fr))
+          let a = iop o (operand 1) in
+          let b = iop o (operand 2) in
+          emit o (fun fr ->
+              iset fr d (if iget fr c <> 0 then iget fr a else iget fr b))
       | Kflt, d ->
-          let a = get_flt f (operand 1) and b = get_flt f (operand 2) in
-          Some (fun fr -> fr.flts.(d) <- (if c fr <> 0 then a fr else b fr))
+          let a = fop o (operand 1) in
+          let b = fop o (operand 2) in
+          emit o (fun fr ->
+              fset fr d (if iget fr c <> 0 then fget fr a else fget fr b))
       | Kobj, d ->
           let a = read f (operand 1) and b = read f (operand 2) in
-          Some (fun fr -> fr.objs.(d) <- (if c fr <> 0 then a fr else b fr)))
+          emit o (fun fr ->
+              fr.objs.(d) <- (if iget fr c <> 0 then a fr else b fr)))
   | "arith.index_cast" ->
-      let a = int1 () in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.ints.(d) <- a fr)
+      let a = iop o (operand 0) in
+      let d = def_kind f Kint (result ()) in
+      emit o (fun fr -> iset fr d (iget fr a))
   | "arith.sitofp" ->
-      let a = int1 () in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- float_of_int (a fr))
+      let a = iop o (operand 0) in
+      let d = def_kind f Kflt (result ()) in
+      emit o (fun fr -> fset fr d (float_of_int (iget fr a)))
   | "arith.fptosi" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.ints.(d) <- int_of_float (a fr))
+      let a = fop o (operand 0) in
+      let d = def_kind f Kint (result ()) in
+      emit o (fun fr -> iset fr d (int_of_float (fget fr a)))
   | "arith.extf" | "arith.truncf" ->
-      let a = get_flt f (operand 0) in
-      let _, d = def f (Op.result_exn op) in
-      Some (fun fr -> fr.flts.(d) <- a fr)
+      let a = fop o (operand 0) in
+      let d = def_kind f Kflt (result ()) in
+      emit o (fun fr -> fset fr d (fget fr a))
   | "memref.alloc" | "gpu.alloc" -> (
-      match Value.ty (Op.result_exn op) with
+      match Value.ty (result ()) with
       | Typesys.Memref (shape, elt) ->
-          let _, d = def f (Op.result_exn op) in
+          let _, d = def f (result ()) in
           Some (fun fr -> fr.objs.(d) <- R.Rbuf (R.alloc_buffer shape elt))
       | _ -> unsupported "%s: result must be a memref" name)
   | "memref.dealloc" | "gpu.dealloc" -> None
   | "memref.load" -> (
-      let gb = get_buf f (operand 0) in
-      let idx =
-        index_fun
-          (Array.of_list (List.map (get_int f) (List.tl op.Op.operands)))
-      in
-      match def f (Op.result_exn op) with
+      let bs = buf_slot f (operand 0) in
+      let idx = coords o (List.tl op.Op.operands) in
+      match def f (result ()) with
       | Kflt, d ->
-          Some
-            (fun fr ->
-              let b = gb fr in
+          emit o (fun fr ->
+              let b = buf fr bs in
               let i = idx fr b in
-              fr.flts.(d) <-
+              fset fr d
                 (match b.R.data with
                 | R.F a -> Array.unsafe_get a i
                 | R.I a -> float_of_int a.(i)))
       | Kint, d ->
-          Some
-            (fun fr ->
-              let b = gb fr in
+          emit o (fun fr ->
+              let b = buf fr bs in
               let i = idx fr b in
-              fr.ints.(d) <-
+              iset fr d
                 (match b.R.data with
                 | R.I a -> Array.unsafe_get a i
                 | R.F _ -> R.error "expected integer value, got float"))
       | Kobj, _ -> unsupported "memref.load: non-scalar element")
   | "memref.store" -> (
-      let gb = get_buf f (operand 1) in
-      let idx =
-        index_fun
-          (Array.of_list
-             (List.map (get_int f) (List.tl (List.tl op.Op.operands))))
-      in
+      let bs = buf_slot f (operand 1) in
+      let idx = coords o (List.tl (List.tl op.Op.operands)) in
       match slot_exn f (operand 0) with
-      | Kflt, _ ->
-          let gv = get_flt f (operand 0) in
-          Some
-            (fun fr ->
-              let b = gb fr in
+      | Kflt, v ->
+          emit o (fun fr ->
+              let b = buf fr bs in
               let i = idx fr b in
               match b.R.data with
-              | R.F a -> Array.unsafe_set a i (gv fr)
-              | R.I a -> a.(i) <- int_of_float (gv fr))
-      | Kint, _ ->
-          let gv = get_int f (operand 0) in
-          Some
-            (fun fr ->
-              let b = gb fr in
+              | R.F a -> Array.unsafe_set a i (fget fr v)
+              | R.I a -> a.(i) <- int_of_float (fget fr v))
+      | Kint, v ->
+          emit o (fun fr ->
+              let b = buf fr bs in
               let i = idx fr b in
               match b.R.data with
-              | R.I a -> Array.unsafe_set a i (gv fr)
-              | R.F a -> a.(i) <- float_of_int (gv fr))
+              | R.I a -> Array.unsafe_set a i (iget fr v)
+              | R.F a -> a.(i) <- float_of_int (iget fr v))
       | Kobj, _ -> unsupported "memref.store: non-scalar value")
   | "memref.copy" | "gpu.memcpy" ->
       let gsrc = get_buf f (operand 0) and gdst = get_buf f (operand 1) in

@@ -4,16 +4,23 @@
 
 type t = { id : int; ty : Typesys.ty }
 
-let counter = ref 0
+(* Process-wide id source.  Atomic because several domains build IR at
+   once (the compile daemon's connection domains and its batch worker):
+   a plain [ref] let two of them mint the same id, and the id-keyed tables
+   of the lowerings then conflate distinct values. *)
+let counter = Atomic.make 0
 
-let fresh ty =
-  incr counter;
-  { id = !counter; ty }
+let fresh ty = { id = Atomic.fetch_and_add counter 1 + 1; ty }
 
 (* Used only by the parser, which must materialize values with the ids
-   appearing in the source text. *)
+   appearing in the source text.  The counter only ever moves up (a
+   CAS-max), so a concurrent [fresh] never hands out [id] afterwards. *)
 let with_id id ty =
-  if id > !counter then counter := id;
+  let rec bump () =
+    let cur = Atomic.get counter in
+    if id > cur && not (Atomic.compare_and_set counter cur id) then bump ()
+  in
+  bump ();
   { id; ty }
 
 let id v = v.id

@@ -4,8 +4,8 @@
    Lock-order discipline (the only nestings allowed, so no cycle exists):
      - a rank's own slot mutex, then reg_mutex (released before any
        mailbox lock) while probing mailboxes from a blocked wait;
-     - every other site takes exactly one of {slot, reg, mailbox, trace}
-       at a time.
+     - every other site takes exactly one of {slot, reg, mailbox, trace,
+       gate} at a time.
    Wakeups: a sender pushes under the mailbox lock, releases it, then
    broadcasts the destination slot's condvar.  A receiver holds its slot
    mutex continuously from the poison/match check through Condition.wait,
@@ -53,7 +53,10 @@ type comm = {
   slots : slot array;
   poisoned : bool Atomic.t;
   progress : int Atomic.t; (* completed transport operations *)
+  started : int Atomic.t;
   finished : int Atomic.t;
+  gate_mutex : Mutex.t;  (* with [gate_cond]: the start/exit rendezvous *)
+  gate_cond : Condition.t;
   trace_on : bool;
   trace_mutex : Mutex.t;
   mutable next_seq : int;
@@ -394,7 +397,10 @@ let make_comm ~trace ~ranks ~capacity =
           });
     poisoned = Atomic.make false;
     progress = Atomic.make 0;
+    started = Atomic.make 0;
     finished = Atomic.make 0;
+    gate_mutex = Mutex.create ();
+    gate_cond = Condition.create ();
     trace_on = trace;
     trace_mutex = Mutex.create ();
     next_seq = 0;
@@ -461,7 +467,28 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
   if capacity < 1 then raise (Mpi_error "run: queue capacity must be >= 1");
   let comm = make_comm ~trace ~ranks ~capacity in
   let failures = Array.make ranks None in
+  (* Count this domain into [count], then block until every rank has:
+     the last arrival wakes the others.  (The increment precedes the
+     locked check, so the last arrival's broadcast cannot be missed.) *)
+  let rendezvous count =
+    Atomic.incr count;
+    Mutex.lock comm.gate_mutex;
+    if Atomic.get count >= ranks then Condition.broadcast comm.gate_cond
+    else
+      while Atomic.get count < ranks do
+        Condition.wait comm.gate_cond comm.gate_mutex
+      done;
+    Mutex.unlock comm.gate_mutex
+  in
+  (* Rank bodies start together and their domains exit together, as
+     between MPI_Init and MPI_Finalize.  Domain start-up and exit are
+     runtime work (an exiting domain finishes the GC's marking phase);
+     without the rendezvous, a rank whose domain is slow to spawn, or a
+     sibling tearing its domain down, takes cores from ranks that are
+     still computing — on an oversubscribed host that showed up as
+     milliseconds of halo wait in the traced rank spans. *)
   let domain_body r () =
+    rendezvous comm.started;
     (* Runs inside the spawned domain: this domain IS the rank's main
        domain, so its id is the mailbox owner for the whole rank body. *)
     let ctx = { comm; me = r; owner = (Domain.self () :> int) } in
@@ -476,7 +503,7 @@ let run_with ?stall_timeout_s ?queue_capacity ?(trace = false) ~ranks body =
     sl.sl_done <- true;
     sl.sl_pending <- None;
     Mutex.unlock sl.sl_mutex;
-    Atomic.incr comm.finished
+    rendezvous comm.finished
   in
   let domains = Array.init ranks (fun r -> Domain.spawn (domain_body r)) in
   (* Watchdog: the spawning thread polls until every domain finished.  A

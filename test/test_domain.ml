@@ -142,6 +142,133 @@ let test_rebased_gather_origin () =
   done;
   check_interior_equal ~what: "rebased" (global, back, interior) ~extents
 
+(* --- property: row-blit scatter/gather == the per-element definition --- *)
+
+module R = Interp.Rtval
+
+(* Every logical coordinate of a box, row-major. *)
+let box_coords ~lo ~shape =
+  List.fold_right
+    (fun (l, n) acc ->
+      List.concat_map (fun i -> List.map (fun c -> i :: c) acc)
+        (List.init n (fun k -> l + k)))
+    (List.combine lo shape) [ [] ]
+
+(* The per-element definitions the bulk copies must agree with. *)
+let scatter_ref ~(global : R.buffer) ~grid
+    ~(local_bounds : Typesys.bound list) ~rank =
+  let interior = List.map (fun (b : Typesys.bound) -> b.hi + b.lo) local_bounds in
+  let offset = List.map2 ( * ) (Driver.Domain.rank_coords ~grid rank) interior in
+  let lo = List.map (fun (b : Typesys.bound) -> b.lo) local_bounds in
+  let shape = List.map Typesys.bound_size local_bounds in
+  let local = R.alloc_buffer ~lo shape global.R.elt in
+  List.iter
+    (fun c ->
+      let g = List.map2 ( + ) c offset in
+      if List.for_all2 (fun x (l, n) -> x >= l && x < l + n) g
+           (List.combine global.R.lo global.R.shape)
+      then R.set local c (R.get global g))
+    (box_coords ~lo ~shape);
+  local
+
+let gather_ref ~origin ~(global : R.buffer) ~(local : R.buffer) ~grid
+    ~interior ~rank =
+  let offset = List.map2 ( * ) (Driver.Domain.rank_coords ~grid rank) interior in
+  List.iter
+    (fun c ->
+      R.set global (List.map2 ( + ) c offset)
+        (R.get local (List.map2 ( + ) c origin)))
+    (box_coords ~lo: (List.map (fun _ -> 0) interior) ~shape: interior)
+
+let same_buffer (a : R.buffer) (b : R.buffer) =
+  a.R.shape = b.R.shape && a.R.lo = b.R.lo && a.R.data = b.R.data
+
+let copy_buffer (b : R.buffer) =
+  let data =
+    match b.R.data with
+    | R.F a -> R.F (Array.copy a)
+    | R.I a -> R.I (Array.copy a)
+  in
+  { b with R.data }
+
+(* A decomposition case: per dimension (ranks, local interior, halo
+   margin, how far the global buffer's lo sits below 0, extra global
+   cells past the interior), element type, and whether locals are
+   rebased to a zero origin as after lowering. *)
+let gen_case =
+  QCheck.Gen.(
+    let dim = map (fun (((g, n), m), (below, extra)) -> (g, n, m, below, extra))
+        (pair (pair (pair (1 -- 3) (1 -- 4)) (0 -- 2)) (pair (0 -- 3) (0 -- 2))) in
+    triple (1 -- 3 >>= fun d -> list_repeat d dim) bool bool)
+
+let scatter_gather_prop =
+  QCheck.Test.make ~count: 150
+    ~name: "scatter/gather row blits == per-element reference"
+    (QCheck.make gen_case)
+    (fun (dims, floats, rebase) ->
+      let grid = List.map (fun (g, _, _, _, _) -> g) dims in
+      let interior = List.map (fun (_, n, _, _, _) -> n) dims in
+      let extents = List.map2 ( * ) grid interior in
+      let local_bounds =
+        List.map (fun (_, n, m, _, _) -> Typesys.{ lo = -m; hi = n + m }) dims
+      in
+      let glo = List.map (fun (_, _, _, below, _) -> -below) dims in
+      let gshape =
+        List.map2 (fun (_, _, _, below, extra) e -> e + below + extra) dims extents
+      in
+      let elt = if floats then Typesys.f64 else Typesys.Index in
+      let global = R.alloc_buffer ~lo: glo gshape elt in
+      R.fill global (fun i -> float_of_int ((i * 7) + 1) *. 0.5);
+      let back = R.alloc_buffer ~lo: glo gshape elt in
+      let back_ref = R.alloc_buffer ~lo: glo gshape elt in
+      let ranks = List.fold_left ( * ) 1 grid in
+      let ok = ref true in
+      for rank = 0 to ranks - 1 do
+        let local = Driver.Domain.scatter_field ~global ~grid ~local_bounds ~rank in
+        let expected = scatter_ref ~global ~grid ~local_bounds ~rank in
+        if not (same_buffer local expected) then ok := false;
+        let local, origin =
+          if rebase then
+            ( { local with R.lo = List.map (fun _ -> 0) local.R.lo },
+              List.map (fun (_, _, m, _, _) -> m) dims )
+          else (local, List.map (fun _ -> 0) dims)
+        in
+        Driver.Domain.gather_interior ~origin ~global: back ~local ~grid
+          ~interior ~rank ();
+        gather_ref ~origin ~global: back_ref ~local ~grid ~interior ~rank
+      done;
+      (* Same writes as the reference, and the interior round-trips. *)
+      let interior_equal =
+        List.for_all
+          (fun c -> R.get back c = R.get global c)
+          (box_coords ~lo: (List.map (fun _ -> 0) extents) ~shape: extents)
+      in
+      !ok && same_buffer back back_ref && interior_equal)
+
+(* A gather whose interior box leaves the local buffer or the global one
+   raises, and writes nothing first. *)
+let test_gather_out_of_range () =
+  let extents = [ 4; 4 ] and grid = [ 2; 2 ] in
+  let global = make_global ~margin: 0 ~extents in
+  let lb = local_bounds ~margin: 1 ~interior: extents ~grid in
+  let local = Driver.Domain.scatter_field ~global ~grid ~local_bounds: lb ~rank: 3 in
+  List.iter
+    (fun (what, global, interior) ->
+      let before = copy_buffer global in
+      (match
+         Driver.Domain.gather_interior ~global ~local ~grid ~interior ~rank: 3 ()
+       with
+      | () -> Alcotest.failf "%s: expected Runtime_error" what
+      | exception R.Runtime_error _ -> ());
+      check Alcotest.bool (what ^ ": nothing written") true
+        (same_buffer before global))
+    [
+      ("interior wider than the local buffer", copy_buffer global, [ 2; 4 ]);
+      ( "rank offset past the global buffer",
+        R.alloc_buffer [ 3; 4 ] Typesys.f64,
+        [ 2; 2 ] );
+    ]
+
 let suite =
   [
     Alcotest.test_case "2D round-trip" `Quick test_roundtrip_2d;
@@ -151,4 +278,7 @@ let suite =
       test_non_divisible_rejected;
     Alcotest.test_case "boundary halo zero-fill" `Quick test_boundary_halo_zero;
     Alcotest.test_case "rebased gather origin" `Quick test_rebased_gather_origin;
+    QCheck_alcotest.to_alcotest scatter_gather_prop;
+    Alcotest.test_case "out-of-range gather raises" `Quick
+      test_gather_out_of_range;
   ]

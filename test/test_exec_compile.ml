@@ -168,6 +168,251 @@ let differential_prop =
          itself under Stdlib.compare, matching interpreter semantics. *)
       Stdlib.compare interp compiled = 0)
 
+(* --- slot-direct kernels: straight-line f32/index programs --- *)
+
+(* The compiled executor picks each arith op's closure at compile time
+   from its operands' slot kinds.  These programs exercise every arith
+   op, every comparison predicate and the mixed-kind fallback (an index
+   value feeding a float op through a conversion slot), and compare the
+   outcome bitwise with the interpreter — errors included, since random
+   divisors hit zero. *)
+
+type src = F of int | I of int  (* a float- or index-pool value *)
+
+type instr =
+  | Fbin of string * src * src  (* mixed kinds when a side is [I] *)
+  | Ibin of string * int * int
+  | Cmpi of Arith.predicate * int * int
+  | Cmpf of Arith.predicate * src * src
+  | Fsel of int * int * int  (* int condition, float arms *)
+  | Isel of int * int * int
+  | Sitofp of int
+  | Fptosi of int
+  | Negf of src
+  | Fcopy of string * int  (* extf / truncf *)
+  | Index_cast of int
+
+(* Whether the instruction's result joins the float pool. *)
+let yields_float = function
+  | Fbin _ | Fsel _ | Sitofp _ | Negf _ | Fcopy _ -> true
+  | Ibin _ | Cmpi _ | Cmpf _ | Isel _ | Fptosi _ | Index_cast _ -> false
+
+let gen_src =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> F i) (0 -- 63)); (1, map (fun i -> I i) (0 -- 63)) ])
+
+let gen_instr =
+  let ix = QCheck.Gen.(0 -- 63) in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 4,
+          map3
+            (fun op a b -> Fbin (op, a, b))
+            (oneofl Arith.float_binops) gen_src gen_src );
+        (3, map3 (fun op a b -> Ibin (op, a, b)) (oneofl Arith.int_binops) ix ix);
+        (2, map3 (fun p a b -> Cmpi (p, a, b)) gen_pred ix ix);
+        (2, map3 (fun p a b -> Cmpf (p, a, b)) gen_pred gen_src gen_src);
+        (1, map3 (fun c a b -> Fsel (c, a, b)) ix ix ix);
+        (1, map3 (fun c a b -> Isel (c, a, b)) ix ix ix);
+        (1, map (fun a -> Sitofp a) ix);
+        (1, map (fun a -> Fptosi a) ix);
+        (1, map (fun a -> Negf a) gen_src);
+        ( 1,
+          map2
+            (fun op a -> Fcopy (op, a))
+            (oneofl [ "arith.extf"; "arith.truncf" ])
+            ix );
+        (1, map (fun a -> Index_cast a) ix);
+      ])
+
+(* Inputs include the float values whose handling differs between
+   primitive comparisons and [Float.compare]: NaN, infinities, -0. *)
+let gen_f32_input =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, float_range (-8.) 8.);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 0. ]);
+      ])
+
+let gen_kernel =
+  QCheck.Gen.(
+    triple
+      (list_repeat 3 gen_f32_input)
+      (list_repeat 3 (-9 -- 9))
+      (list_size (1 -- 40) gen_instr))
+
+(* func @main(f32 x3, index x3) -> (every instruction's result). *)
+let kernel_module (fins, iins, prog) : Op.t =
+  let f32 = Typesys.f32 and idx = Typesys.Index in
+  let res_ty = function
+    | (Cmpi _ | Cmpf _) -> Typesys.i1
+    | ins -> if yields_float ins then f32 else idx
+  in
+  let f =
+    Func.define "main"
+      ~arg_tys: (List.map (fun _ -> f32) fins @ List.map (fun _ -> idx) iins)
+      ~res_tys: (List.map res_ty prog)
+      (fun bld args ->
+        let nf = List.length fins in
+        let fs = ref (Array.of_list (List.filteri (fun k _ -> k < nf) args))
+        and is = ref (Array.of_list (List.filteri (fun k _ -> k >= nf) args)) in
+        let pick pool k = !pool.(k mod Array.length !pool) in
+        let src = function F k -> pick fs k | I k -> pick is k in
+        let op name ty operands = Builder.emit1 bld name ty ~operands in
+        let pred_attr p =
+          [ ("predicate", Typesys.String_attr (Arith.predicate_to_string p)) ]
+        in
+        let results =
+          List.map
+            (fun ins ->
+              let ty = res_ty ins in
+              let v =
+                match ins with
+                | Fbin (name, a, b) -> op name ty [ src a; src b ]
+                | Ibin (name, a, b) -> op name ty [ pick is a; pick is b ]
+                | Cmpi (p, a, b) ->
+                    Builder.emit1 bld Arith.cmpi ty ~operands: [ pick is a; pick is b ]
+                      ~attrs: (pred_attr p)
+                | Cmpf (p, a, b) ->
+                    Builder.emit1 bld Arith.cmpf ty ~operands: [ src a; src b ]
+                      ~attrs: (pred_attr p)
+                | Fsel (c, a, b) ->
+                    op Arith.select ty [ pick is c; pick fs a; pick fs b ]
+                | Isel (c, a, b) ->
+                    op Arith.select ty [ pick is c; pick is a; pick is b ]
+                | Sitofp a -> op Arith.sitofp ty [ pick is a ]
+                | Fptosi a -> op Arith.fptosi ty [ pick fs a ]
+                | Negf a -> op Arith.negf ty [ src a ]
+                | Fcopy (name, a) -> op name ty [ pick fs a ]
+                | Index_cast a -> op Arith.index_cast ty [ pick is a ]
+              in
+              let pool = if yields_float ins then fs else is in
+              pool := Array.append !pool [| v |];
+              v)
+            prog
+        in
+        Func.return_op bld results)
+  in
+  Op.module_op [ f ]
+
+(* An execution's outcome with floats as bit patterns, so NaN payloads
+   and signed zeros count. *)
+let outcome e m args =
+  match run_on e m "main" args with
+  | rs ->
+      Ok
+        (List.map
+           (function
+             | R.Rf x -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+             | R.Ri n -> Printf.sprintf "i%d" n
+             | _ -> "other")
+           rs)
+  | exception R.Runtime_error msg -> Error msg
+
+let kernel_prop =
+  QCheck.Test.make ~count: 300
+    ~name: "straight-line f32/index kernels: compiled == interpreted bitwise"
+    (QCheck.make gen_kernel ~print: (fun (_, _, prog) ->
+         Printf.sprintf "<kernel of %d ops>" (List.length prog)))
+    (fun ((fins, iins, _) as k) ->
+      let m = kernel_module k in
+      let args = List.map (fun x -> R.Rf x) fins @ List.map (fun n -> R.Ri n) iins in
+      outcome Interp.Executor.interpreter m args
+      = outcome Exec_compile.executor m args)
+
+let expect_runtime_error what m args =
+  List.iter
+    (fun (e : Interp.Executor.t) ->
+      match run_on e m "main" args with
+      | _ ->
+          Alcotest.failf "%s (%s): expected Runtime_error" what
+            e.Interp.Executor.exec_name
+      | exception R.Runtime_error _ -> ())
+    [ Interp.Executor.interpreter; Exec_compile.executor ]
+
+(* Division by zero and out-of-bounds buffer accesses stay checked on
+   the slot-direct path. *)
+let test_kernel_errors () =
+  List.iter
+    (fun name ->
+      let m =
+        kernel_module
+          ([ 1.; 2.; 3. ], [ 7; 0; 2 ], [ Ibin (name, 0, 1) ])
+      in
+      expect_runtime_error (name ^ " by zero") m
+        [ R.Rf 1.; R.Rf 2.; R.Rf 3.; R.Ri 7; R.Ri 0; R.Ri 2 ])
+    [ Arith.divsi; Arith.remsi ];
+  let mref = Typesys.Memref ([ 4; 3 ], Typesys.f32) in
+  let access ~store =
+    Op.module_op
+      [
+        Func.define "main" ~arg_tys: [ mref; Typesys.Index; Typesys.Index ]
+          ~res_tys: [] (fun bld args ->
+            match args with
+            | [ b; i; j ] ->
+                let v = Arith.const_float bld ~ty: Typesys.f32 1.5 in
+                if store then Memref.store_op bld v b [ i; j ]
+                else ignore (Memref.load_op bld b [ i; j ]);
+                Func.return_op bld []
+            | _ -> assert false);
+      ]
+  in
+  let buf () = R.Rbuf (R.alloc_buffer [ 4; 3 ] Typesys.f32) in
+  List.iter
+    (fun store ->
+      let m = access ~store in
+      let what = if store then "memref.store" else "memref.load" in
+      (* In bounds runs; each dimension's low and high edge raises. *)
+      ignore (run_on Exec_compile.executor m "main" [ buf (); R.Ri 3; R.Ri 2 ]);
+      List.iter
+        (fun (i, j) ->
+          expect_runtime_error (Printf.sprintf "%s at (%d, %d)" what i j) m
+            [ buf (); R.Ri i; R.Ri j ])
+        [ (4, 0); (-1, 0); (0, 3); (0, -1) ])
+    [ false; true ]
+
+(* The point of the slot-direct closures: a load/compute/store loop
+   allocates nothing per iteration.  (Counted on this domain; the run is
+   serial.) *)
+let test_kernel_allocation_free () =
+  let n = 20_000 in
+  let mref = Typesys.Memref ([ n ], Typesys.f32) in
+  let m =
+    Op.module_op
+      [
+        Func.define "main" ~arg_tys: [ mref; mref ] ~res_tys: [] (fun bld args ->
+            match args with
+            | [ a; b ] ->
+                let lo = Arith.const_index bld 1 in
+                let hi = Arith.const_index bld (n - 1) in
+                let one = Arith.const_index bld 1 in
+                let c = Arith.const_float bld ~ty: Typesys.f32 0.25 in
+                Scf.for_op bld ~lo ~hi ~step: one (fun body i _ ->
+                    let l = Memref.load_op body a [ Arith.sub_i body i one ] in
+                    let r = Memref.load_op body a [ Arith.add_i body i one ] in
+                    let s = Arith.mul_f body c (Arith.add_f body l r) in
+                    let s = Arith.max_f body s (Arith.neg_f body s) in
+                    Memref.store_op body s b [ i ];
+                    Scf.yield_op body [])
+                |> ignore;
+                Func.return_op bld []
+            | _ -> assert false);
+      ]
+  in
+  let run = Exec_compile.executor.Interp.Executor.prepare m "main" in
+  let buf () = R.alloc_buffer [ n ] Typesys.f32 in
+  let a = buf () and b = buf () in
+  R.fill a float_of_int;
+  ignore (run [ R.Rbuf a; R.Rbuf b ]);
+  let w0 = Gc.minor_words () in
+  ignore (run [ R.Rbuf a; R.Rbuf b ]);
+  let per_iter = (Gc.minor_words () -. w0) /. float_of_int n in
+  if per_iter > 0.1 then
+    Alcotest.failf "compiled kernel allocated %.2f words per iteration" per_iter
+
 (* --- lowered stencil programs --- *)
 
 let lowered_equivalence name m args_of =
@@ -368,4 +613,9 @@ let suite =
     Alcotest.test_case "harness: compiled par == sim == serial" `Quick
       test_harness_equivalence_compiled;
     QCheck_alcotest.to_alcotest differential_prop;
+    QCheck_alcotest.to_alcotest kernel_prop;
+    Alcotest.test_case "kernel errors: division by zero, out of bounds" `Quick
+      test_kernel_errors;
+    Alcotest.test_case "kernel loop allocates nothing per iteration" `Quick
+      test_kernel_allocation_free;
   ]

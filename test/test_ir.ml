@@ -291,6 +291,35 @@ let test_verify_arith_type_mismatch () =
      Alcotest.fail "expected verification error"
    with Verifier.Verification_error _ -> ())
 
+(* SSA ids are process-wide: domains minting values at once (the compile
+   daemon's connection domains and batch worker) must never share an id.
+   [with_id] interleaved with [fresh] must also keep the counter ahead of
+   every explicit id. *)
+let test_value_ids_distinct_across_domains () =
+  let per_domain = 20_000 in
+  let mint k () =
+    Array.init per_domain (fun i ->
+        (* Domain 0 also bumps the counter to an explicit id, as the
+           parser does; other domains may already have passed it, and a
+           bump that moved the counter backwards would hand ids out
+           again. *)
+        (if k = 0 && i mod 1000 = 0 then
+           let explicit = Value.id (Value.fresh Typesys.Index) + 5 in
+           ignore (Value.with_id explicit Typesys.Index));
+        Value.id (Value.fresh Typesys.Index))
+  in
+  let ds = List.init 4 (fun k -> Domain.spawn (mint k)) in
+  let ids = Array.concat (List.map Domain.join ds) in
+  let seen = Hashtbl.create (Array.length ids) in
+  Array.iter
+    (fun id ->
+      if Hashtbl.mem seen id then
+        Alcotest.failf "value id %d minted twice across domains" id;
+      Hashtbl.add seen id ())
+    ids;
+  Alcotest.(check int) "every id distinct" (4 * per_domain)
+    (Hashtbl.length seen)
+
 let suite =
   [
     Alcotest.test_case "type printing" `Quick test_ty_printing;
@@ -317,4 +346,6 @@ let suite =
     Alcotest.test_case "verify double-def" `Quick test_verify_double_def;
     Alcotest.test_case "verify arith mismatch" `Quick
       test_verify_arith_type_mismatch;
+    Alcotest.test_case "value ids distinct across domains" `Quick
+      test_value_ids_distinct_across_domains;
   ]
